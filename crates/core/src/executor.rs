@@ -184,9 +184,9 @@ impl CampaignExecutor {
             }
         } else {
             let next = AtomicU64::new(0);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for _ in 0..pool_size {
-                    scope.spawn(|_| loop {
+                    scope.spawn(|| loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);
                         if index >= count {
                             break;
@@ -195,8 +195,7 @@ impl CampaignExecutor {
                         *slots[index as usize].lock() = Some(outcome);
                     });
                 }
-            })
-            .expect("worker pool");
+            });
         }
         slots
             .into_iter()

@@ -9,7 +9,6 @@
 
 use std::time::Duration;
 
-use serde::Serialize;
 use zwave_radio::SimInstant;
 
 /// Health of a simulated device.
@@ -48,7 +47,7 @@ impl Health {
 /// The observable effect class of a seeded vulnerability. This is what a
 /// verified finding is deduplicated by, together with its CMDCL/CMD
 /// coordinates (four Table III bugs share `0x01/0x0D` but differ here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EffectKind {
     /// Bug #01: properties of an existing NVM node entry were tampered.
     NodePropertiesTampered,
@@ -115,7 +114,7 @@ impl std::fmt::Display for EffectKind {
 }
 
 /// Root cause attribution, as reported in Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RootCause {
     /// Flaw in the Z-Wave specification itself.
     Specification,

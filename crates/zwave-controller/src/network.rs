@@ -1,12 +1,13 @@
-//! One simulated home of the sharded world: a controller under test plus
-//! a seed-derived device population wired by a [`Topology`].
+//! One simulated home: a controller under test plus a seed-derived
+//! device population wired by a [`Topology`].
 //!
-//! `HomeNetwork` generalizes [`Testbed`](crate::testbed::Testbed) — same
-//! controller construction, same S2 pairing, same pump discipline — but
-//! adds the mesh machinery a flat testbed cannot express: repeaters that
-//! relay source-routed frames, a [`NeighborTable`] the controller's
-//! routes resolve against, route decay on every use, and a switch that
-//! reports through its repeater chain when it sits beyond direct range.
+//! The paper's testbed is one such home:
+//! [`Testbed`](crate::testbed::Testbed) *is* the star-plan `HomeNetwork`
+//! with the model's factory home id. Sweep homes add what a flat testbed
+//! cannot express: repeaters that relay source-routed frames, a
+//! [`NeighborTable`] the controller's routes resolve against, route decay
+//! on every use, and a switch that reports through its repeater chain
+//! when it sits beyond direct range.
 
 use zwave_crypto::s2::{network_keys, S2Session};
 use zwave_crypto::NetworkKey;
@@ -15,6 +16,7 @@ use zwave_radio::{Medium, SimClock, Transceiver};
 
 use crate::controller::SimController;
 use crate::devices::{SimDoorLock, SimRepeater, SimSensor, SimSwitch};
+use crate::link::LinkPolicy;
 use crate::neighbors::NeighborTable;
 use crate::nvm::NodeRecord;
 use crate::testbed::{DeviceModel, LOCK_NODE, SENSOR_NODE, SWITCH_NODE};
@@ -23,7 +25,6 @@ use crate::topology::Topology;
 /// One assembled home: controller, slaves, repeaters, neighbor table.
 #[derive(Debug)]
 pub struct HomeNetwork {
-    clock: SimClock,
     medium: Medium,
     controller: SimController,
     lock: SimDoorLock,
@@ -39,9 +40,8 @@ impl HomeNetwork {
     /// id, population mix and wiring all derived from `seed`. Identical
     /// inputs produce byte-identical homes on any worker.
     pub fn new(model: DeviceModel, topology: Topology, seed: u64) -> Self {
-        let clock = SimClock::new();
-        let medium = Medium::new(clock.clone(), seed);
-        Self::assemble(model, topology, seed, clock, medium)
+        let medium = Medium::new(SimClock::new(), seed);
+        Self::seeded(model, topology, seed, medium)
     }
 
     /// Like [`HomeNetwork::new`], but driven by a recycled scheduler
@@ -56,27 +56,43 @@ impl HomeNetwork {
         seed: u64,
         kernel: &zwave_radio::SimScheduler,
     ) -> Self {
-        let clock = SimClock::new();
-        let medium = Medium::with_recycled(seed, kernel.recycle(clock.clone()));
-        Self::assemble(model, topology, seed, clock, medium)
+        let medium = Medium::with_recycled(seed, kernel.recycle(SimClock::new()));
+        Self::seeded(model, topology, seed, medium)
+    }
+
+    /// The paper's testbed: a star home under the model's factory home id,
+    /// with the optional S0 sensor only when asked for.
+    pub(crate) fn testbed(model: DeviceModel, seed: u64, with_sensor: bool) -> Self {
+        let medium = Medium::new(SimClock::new(), seed);
+        let home_id = model.config().home_id;
+        Self::assemble(model, Topology::Star, home_id, with_sensor, seed, medium)
+    }
+
+    /// A sweep home: the model's factory id perturbed by the home seed, so
+    /// a city of homes doesn't share seven ids (kept nonzero), and roughly
+    /// half the homes also running the battery-powered S0 motion sensor.
+    fn seeded(model: DeviceModel, topology: Topology, seed: u64, medium: Medium) -> Self {
+        let factory = model.config().home_id.0;
+        let derived = factory ^ (seed as u32);
+        let home_id = HomeId(if derived == 0 { factory } else { derived });
+        let with_sensor = mix(seed ^ 0x7365_6E73) & 1 == 0;
+        Self::assemble(model, topology, home_id, with_sensor, seed, medium)
     }
 
     fn assemble(
         model: DeviceModel,
         topology: Topology,
+        home_id: HomeId,
+        with_sensor: bool,
         seed: u64,
-        clock: SimClock,
         medium: Medium,
     ) -> Self {
         let mut config = model.config();
-        // Per-home id: the model's factory id perturbed by the home seed,
-        // so a city of homes doesn't share seven ids. Kept nonzero.
-        let derived = config.home_id.0 ^ (seed as u32);
-        config.home_id = HomeId(if derived == 0 { config.home_id.0 } else { derived });
-        let home_id = config.home_id;
+        config.home_id = home_id;
         let mut controller = SimController::new(config, &medium, 0.0);
 
-        // S2 pairing between hub and lock, as in `Testbed::new`.
+        // Complete an S2 pairing between hub and lock: shared network key,
+        // deterministic entropy inputs.
         let network_key = NetworkKey::from_seed(seed ^ u64::from(home_id.0));
         let keys = network_keys(&network_key);
         let mut sei = [0u8; 16];
@@ -87,9 +103,11 @@ impl HomeNetwork {
         let lock_session = S2Session::responder(keys, &sei, &rei);
         controller.pair_s2(LOCK_NODE, hub_session);
 
+        // Factory NVM: the controller itself, the S2 lock, the switch, the
+        // repeaters and (when present) the sensor.
         let mut lock_rec = NodeRecord::new(LOCK_NODE, zwave_protocol::nif::BasicDeviceType::Slave);
-        lock_rec.generic = 0x40;
-        lock_rec.specific = 0x03;
+        lock_rec.generic = 0x40; // entry control
+        lock_rec.specific = 0x03; // secure keypad door lock
         lock_rec.listening = false;
         lock_rec.secure = true;
         lock_rec.wakeup_interval_s = Some(3600);
@@ -99,7 +117,7 @@ impl HomeNetwork {
 
         let mut switch_rec =
             NodeRecord::new(SWITCH_NODE, zwave_protocol::nif::BasicDeviceType::RoutingSlave);
-        switch_rec.generic = 0x10;
+        switch_rec.generic = 0x10; // binary switch
         switch_rec.specific = 0x01;
         switch_rec.supported = vec![CommandClassId::SWITCH_BINARY, CommandClassId::BASIC];
         controller.nvm_mut().insert(switch_rec);
@@ -113,10 +131,6 @@ impl HomeNetwork {
             controller.nvm_mut().insert(rec);
         }
         let neighbors = plan.neighbor_table();
-
-        // Mixed populations: roughly half the homes also run the
-        // battery-powered S0 motion sensor.
-        let with_sensor = mix(seed ^ 0x7365_6E73) & 1 == 0;
 
         let lock =
             SimDoorLock::new(&medium, 8.0, home_id, LOCK_NODE, NodeId::CONTROLLER, lock_session);
@@ -139,9 +153,9 @@ impl HomeNetwork {
 
         let sensor = with_sensor.then(|| {
             let mut rec = NodeRecord::new(SENSOR_NODE, zwave_protocol::nif::BasicDeviceType::Slave);
-            rec.generic = 0x20;
+            rec.generic = 0x20; // binary sensor
             rec.listening = false;
-            rec.secure = false;
+            rec.secure = false; // S0, not S2
             rec.wakeup_interval_s = Some(600);
             rec.supported = vec![
                 CommandClassId(0x30),
@@ -161,22 +175,12 @@ impl HomeNetwork {
         });
         controller.commit_factory_state();
 
-        HomeNetwork {
-            clock,
-            medium,
-            controller,
-            lock,
-            switch,
-            sensor,
-            repeaters,
-            neighbors,
-            topology,
-        }
+        HomeNetwork { medium, controller, lock, switch, sensor, repeaters, neighbors, topology }
     }
 
     /// The shared virtual clock.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        self.medium.clock()
     }
 
     /// The shared radio medium.
@@ -194,9 +198,39 @@ impl HomeNetwork {
         &mut self.controller
     }
 
+    /// The door lock slave.
+    pub fn lock(&self) -> &SimDoorLock {
+        &self.lock
+    }
+
+    /// Mutable access to the door lock slave.
+    pub fn lock_mut(&mut self) -> &mut SimDoorLock {
+        &mut self.lock
+    }
+
     /// The smart switch slave.
     pub fn switch(&self) -> &SimSwitch {
         &self.switch
+    }
+
+    /// Mutable access to the smart switch slave.
+    pub fn switch_mut(&mut self) -> &mut SimSwitch {
+        &mut self.switch
+    }
+
+    /// The optional S0 sensor.
+    pub fn sensor(&self) -> Option<&SimSensor> {
+        self.sensor.as_ref()
+    }
+
+    /// Mutable access to the optional sensor.
+    pub fn sensor_mut(&mut self) -> Option<&mut SimSensor> {
+        self.sensor.as_mut()
+    }
+
+    /// Sets the controller's link-layer retry/timeout policy.
+    pub fn set_link_policy(&mut self, policy: LinkPolicy) {
+        self.controller.set_link_policy(policy);
     }
 
     /// The home's topology.
@@ -214,11 +248,6 @@ impl HomeNetwork {
         &self.repeaters
     }
 
-    /// Whether this home runs the optional S0 sensor.
-    pub fn has_sensor(&self) -> bool {
-        self.sensor.is_some()
-    }
-
     /// The repeater chain an injected frame must traverse to reach the
     /// controller, resolved against the current neighbor table from the
     /// switch's side of the mesh. `None` on flat topologies — which is
@@ -227,12 +256,16 @@ impl HomeNetwork {
         self.neighbors.best_route(SWITCH_NODE, NodeId::CONTROLLER).filter(|route| !route.is_empty())
     }
 
-    /// Attaches an attacker radio at `position_m` metres.
+    /// Attaches an attacker radio at `position_m` metres (10-70 m in the
+    /// paper's threat model).
     pub fn attach_attacker(&self, position_m: f64) -> Transceiver {
         self.medium.attach(position_m)
     }
 
-    /// Total distinct APL dispatch edges across controller and devices.
+    /// Total distinct APL dispatch edges seen across the controller and
+    /// every slave. Per-device edge IDs are disjoint only within a device,
+    /// so this sum can overcount shared edges — but it is monotonic and
+    /// O(1), which is all the fuzzer's per-packet feedback read needs.
     pub fn coverage_edges(&self) -> u64 {
         self.controller.coverage().edges()
             + self.lock.coverage().edges()
@@ -251,8 +284,11 @@ impl HomeNetwork {
         map
     }
 
-    /// Lets every station process pending traffic, event-driven — the
-    /// `Testbed::pump` discipline extended with the repeater population.
+    /// Lets every station process pending traffic, event-driven: each
+    /// round routes fired scheduler wakeups to their owners, then polls —
+    /// in fixed station order — only the stations with pending frames or
+    /// fired timers, until the network quiesces (bounded to keep
+    /// adversarial impairment schedules from spinning forever).
     pub fn pump(&mut self) {
         let ctrl_idx = self.controller.station_index();
         let lock_idx = self.lock.station_index();
@@ -292,6 +328,8 @@ impl HomeNetwork {
                 }
             }
             if let Some(sensor) = &mut self.sensor {
+                // A sleeping sensor's radio is off: frames queue unread, so
+                // pending traffic alone is not progress it can make.
                 if !sensor.is_sleeping()
                     && (sensor_idx.is_some_and(|idx| fired.contains(&idx)) || sensor.has_pending())
                 {
@@ -305,8 +343,9 @@ impl HomeNetwork {
         }
     }
 
-    /// One round of normal network traffic: the hub polls the lock over
-    /// S2, the switch reports — through a freshly-resolved route when it
+    /// One round of normal network traffic (the exchanges ZCover's passive
+    /// scanner captures): the hub polls the lock over S2, the switch
+    /// reports in the clear — through a freshly-resolved route when it
     /// sits behind repeaters, aging the links it uses — and the sensor
     /// (when present) completes a wake cycle.
     pub fn exchange_normal_traffic(&mut self) {
@@ -330,6 +369,20 @@ impl HomeNetwork {
     }
 }
 
+// A home is its own home, so code generic over "a home or a wrapper of
+// one" (the `Testbed`) takes either.
+impl AsRef<HomeNetwork> for HomeNetwork {
+    fn as_ref(&self) -> &HomeNetwork {
+        self
+    }
+}
+
+impl AsMut<HomeNetwork> for HomeNetwork {
+    fn as_mut(&mut self) -> &mut HomeNetwork {
+        self
+    }
+}
+
 /// splitmix64 finalizer (population-mix bits).
 fn mix(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -341,12 +394,19 @@ fn mix(seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testbed::Testbed;
 
     #[test]
     fn star_homes_have_no_repeaters_or_injection_route() {
         let home = HomeNetwork::new(DeviceModel::D1, Topology::Star, 5);
         assert!(home.repeaters().is_empty());
         assert_eq!(home.injection_route(), None);
+        // The testbed is the star home: flat, and sensor-free unless asked.
+        let tb = Testbed::new(DeviceModel::D1, 5);
+        assert!(tb.repeaters().is_empty());
+        assert_eq!(tb.injection_route(), None);
+        assert!(tb.sensor().is_none());
+        assert!(Testbed::with_sensor(DeviceModel::D1, 5).sensor().is_some());
     }
 
     #[test]
@@ -392,7 +452,7 @@ mod tests {
         let a = HomeNetwork::new(DeviceModel::D3, Topology::Mesh, 11);
         let b = HomeNetwork::new(DeviceModel::D3, Topology::Mesh, 11);
         assert_eq!(a.controller().home_id(), b.controller().home_id());
-        assert_eq!(a.has_sensor(), b.has_sensor());
+        assert_eq!(a.sensor().is_some(), b.sensor().is_some());
         assert_eq!(a.injection_route(), b.injection_route());
         assert_eq!(a.repeaters().len(), b.repeaters().len());
     }
@@ -400,7 +460,7 @@ mod tests {
     #[test]
     fn population_mix_varies_with_the_seed() {
         let populations: Vec<bool> = (0..16u64)
-            .map(|seed| HomeNetwork::new(DeviceModel::D1, Topology::Star, seed).has_sensor())
+            .map(|seed| HomeNetwork::new(DeviceModel::D1, Topology::Star, seed).sensor().is_some())
             .collect();
         assert!(populations.iter().any(|&p| p));
         assert!(populations.iter().any(|&p| !p));

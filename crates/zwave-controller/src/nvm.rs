@@ -4,12 +4,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::Serialize;
 use zwave_protocol::nif::BasicDeviceType;
 use zwave_protocol::{CommandClassId, NodeId};
 
 /// One node entry in the controller's device table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeRecord {
     /// The node's id.
     pub node_id: NodeId,

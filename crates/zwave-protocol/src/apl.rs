@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::command_class::CommandClassId;
 use crate::error::ProtocolError;
 
@@ -13,7 +11,7 @@ use crate::error::ProtocolError;
 ///
 /// Position 0 is the top-level CMDCL, position 1 the CMD, and positions
 /// ≥ 2 the dependent PARAM bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FieldPosition {
     /// Position 0: the command class (top-level mutable field).
     CommandClass,
@@ -66,7 +64,7 @@ impl fmt::Display for FieldPosition {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ApplicationPayload {
     command_class: CommandClassId,
     command: Option<u8>,

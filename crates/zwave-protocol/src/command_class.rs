@@ -2,17 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A one-byte Z-Wave command class identifier (the CMDCL field, position 0
 /// of the application-layer hierarchy in the paper's Figure 6).
 ///
 /// Well-known identifiers are provided as associated constants; the full
 /// specification data (commands, parameters, clusters) lives in
 /// [`crate::registry`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CommandClassId(pub u8);
 
 impl CommandClassId {
@@ -101,7 +97,7 @@ impl From<CommandClassId> for u8 {
 /// Coarse classification of a command within a class (Section III-C1:
 /// "CMDs can be categorized into different types, e.g., Get to retrieve
 /// information and Set to configure or control").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Retrieves state from the receiver.
     Get,
@@ -127,7 +123,7 @@ impl fmt::Display for CommandKind {
 
 /// Which side of the network originates a command: controlling commands are
 /// sent by a controller, supporting commands by a slave in response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandRole {
     /// Sent by a controller.
     Controlling,

@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use zwave_radio::FrameBuf;
 
 use crate::apl::ApplicationPayload;
@@ -26,7 +24,7 @@ pub fn to_bits(bytes: &[u8]) -> String {
 
 /// A fully dissected Z-Wave frame: MAC fields plus, when parseable, the
 /// application-layer hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dissection {
     /// Network home id (bytes 0..4, as Section III-B1 notes).
     pub home_id: HomeId,

@@ -1,14 +1,12 @@
 //! MAC-layer frame model: the paper's Figure 1 byte layout with
 //! encode/decode, validation, and mutation-friendly raw access.
 
-use serde::{Deserialize, Serialize};
-
 use crate::checksum::{crc16_ccitt, cs8};
 use crate::error::ProtocolError;
 use crate::types::{ChecksumKind, HomeId, NodeId, MAC_HEADER_LEN, MAX_MAC_FRAME_LEN};
 
 /// The frame category carried in the low nibble of the P1 frame-control byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HeaderType {
     /// Point-to-point data frame (the common case).
     #[default]
@@ -53,7 +51,7 @@ impl HeaderType {
 /// P1 carries the header type plus the `ack requested`, `low power` and
 /// `speed modified` flags; P2 carries the 4-bit sequence number and beam
 /// control bits (modelled here as the raw upper nibble).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FrameControl {
     /// Frame category (singlecast/multicast/ack/routed).
     pub header_type: HeaderType,
@@ -131,7 +129,7 @@ impl FrameControl {
 /// field always equals the true encoded size. The checksum is (re)computed
 /// on [`MacFrame::encode`]; intentionally corrupt frames for fuzzing are
 /// produced with [`MacFrame::encode_with_checksum`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MacFrame {
     home_id: HomeId,
     src: NodeId,

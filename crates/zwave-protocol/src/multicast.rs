@@ -2,8 +2,6 @@
 //! bit-mask ahead of the application payload, letting one transmission
 //! address up to 232 nodes ("switch all off" scenes and the like).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::types::NodeId;
 
@@ -11,7 +9,7 @@ use crate::types::NodeId;
 pub const MAX_MASK_BYTES: usize = 29;
 
 /// The multicast address header preceding the APL payload.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MulticastHeader {
     mask: Vec<u8>,
 }

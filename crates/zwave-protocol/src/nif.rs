@@ -6,8 +6,6 @@
 //! (Table IV). Both directions are carried as Z-Wave protocol (`0x01`)
 //! payloads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::command_class::CommandClassId;
 use crate::error::ProtocolError;
 
@@ -17,7 +15,7 @@ pub const ZWAVE_PROTOCOL_CMD_NODE_INFO: u8 = 0x01;
 pub const ZWAVE_PROTOCOL_CMD_REQUEST_NODE_INFO: u8 = 0x02;
 
 /// Basic device type advertised in a NIF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BasicDeviceType {
     /// Portable controller.
     Controller,
@@ -53,7 +51,7 @@ impl BasicDeviceType {
 }
 
 /// A parsed Node Information Frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeInfoFrame {
     /// Basic device type.
     pub basic: BasicDeviceType,

@@ -23,15 +23,13 @@ pub mod xml;
 use std::fmt;
 use std::sync::OnceLock;
 
-use serde::Serialize;
-
 use crate::command_class::{CommandClassId, CommandKind, CommandRole};
 use crate::error::ProtocolError;
 
 /// Functional grouping of a command class (Section III-C1: "clusters
 /// CMDCLs based on function" so that "fuzzing efforts can focus on specific
 /// controller-managed functionalities").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FunctionalCluster {
     /// Application-level functionality a controller exercises directly
     /// (Basic, switches it controls, ...).
@@ -87,7 +85,7 @@ impl fmt::Display for FunctionalCluster {
 
 /// Specification of one parameter byte of a command: which values are
 /// legal, which are boundary cases, which are interesting to a fuzzer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamSpec {
     /// Any byte within an inclusive range is legal.
     Byte {
@@ -167,7 +165,7 @@ impl ParamSpec {
 }
 
 /// Specification of one command within a command class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CommandSpec {
     /// Command identifier (the CMD byte, position 1).
     pub id: u8,
@@ -182,7 +180,7 @@ pub struct CommandSpec {
 }
 
 /// Specification of one command class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CommandClassSpec {
     /// The CMDCL byte.
     pub id: CommandClassId,

@@ -3,8 +3,6 @@
 //! repeater list; each repeater advances the hop index and retransmits
 //! until the frame reaches its destination.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtocolError;
 use crate::types::NodeId;
 
@@ -12,7 +10,7 @@ use crate::types::NodeId;
 pub const MAX_REPEATERS: usize = 4;
 
 /// The routing header prefixed to a routed frame's payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingHeader {
     /// `true` while travelling source → destination; `false` on the
     /// routed acknowledgement path back.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum size of a Z-Wave MAC frame in bytes, including the checksum
 /// (Section II-A of the paper: "The maximum MAC frame size is 64 bytes").
 pub const MAX_MAC_FRAME_LEN: usize = 64;
@@ -27,9 +25,7 @@ pub const BROADCAST_NODE_ID: NodeId = NodeId(0xFF);
 /// assert_eq!(h.to_string(), "CB95A34A");
 /// assert_eq!(h.to_bytes(), [0xCB, 0x95, 0xA3, 0x4A]);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HomeId(pub u32);
 
 impl HomeId {
@@ -77,9 +73,7 @@ impl From<u32> for HomeId {
 /// assert!(NodeId(0xFF).is_broadcast());
 /// assert!(!NodeId(0x01).is_broadcast());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u8);
 
 impl NodeId {
@@ -108,7 +102,7 @@ impl From<u8> for NodeId {
 ///
 /// Legacy (R1/R2) Z-Wave frames carry an 8-bit XOR checksum; 100 kbps R3
 /// frames carry CRC-16/CCITT (Section II-A1: "basic checksums CS-8/CRC-16").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChecksumKind {
     /// 8-bit XOR checksum seeded with `0xFF` (R1/R2 data rates).
     #[default]

@@ -1,8 +1,9 @@
 //! Edge-case coverage for the `SimScheduler` event kernel and the medium's
 //! blackout machinery layered on top of it: cancel-after-fire and stale
-//! tokens, same-instant timer vs. frame ordering, and the generation guard
-//! that keeps stale blackout events from a replaced impairment profile
-//! from toggling the channel.
+//! tokens, same-instant timer vs. frame ordering, overflow events the
+//! horizon reaches through an L0 drain, and the generation guard that
+//! keeps stale blackout events from a replaced impairment profile from
+//! toggling the channel.
 
 use std::time::Duration;
 
@@ -165,6 +166,27 @@ fn earlier_instant_beats_earlier_sequence_number() {
 
     assert_eq!(sched.pop_due(at(100)).expect("frame first").kind, frame_for(1));
     assert_eq!(sched.pop_due(at(100)).expect("timer second").kind, EventKind::Timer(late_timer));
+}
+
+// ---------------------------------------------------------------------
+// Overflow list reached through an L0 drain
+// ---------------------------------------------------------------------
+
+/// The wheel spans one region of 2^37 µs; anything later waits in the
+/// overflow list. When draining the last L0 slot of region 0 carries the
+/// horizon into region 1, the overflow node filed there must still
+/// release, after the L0 event and at its own instant.
+#[test]
+fn overflow_node_whose_region_the_horizon_reaches_via_l0_drain() {
+    let region = 1u64 << 37;
+    let sched = SimScheduler::new(SimClock::new());
+    // A: last L0 slot of region 0; B: just inside region 1 (overflow).
+    sched.schedule(at(region - 500), 0, EventKind::FrameArrival(Vec::new()));
+    sched.schedule(at(region + 10), 1, EventKind::FrameArrival(Vec::new()));
+    let a = sched.pop_due(at(u64::MAX / 2)).expect("A releases");
+    assert_eq!(a.at.as_micros(), region - 500);
+    let b = sched.pop_due(at(u64::MAX / 2)).expect("B releases");
+    assert_eq!(b.at.as_micros(), region + 10);
 }
 
 // ---------------------------------------------------------------------
